@@ -168,6 +168,10 @@ int Report::emit() const {
   return correct() ? 0 : 1;
 }
 
+void announce_plan(std::uint64_t requests) {
+  std::cout << "GDIBENCH_PLAN " << requests << std::endl;
+}
+
 // --- graph set-up -------------------------------------------------------------
 
 namespace {

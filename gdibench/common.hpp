@@ -216,9 +216,13 @@ class Report {
   std::uint64_t failed_ = 0;
 };
 
+/// Print `GDIBENCH_PLAN <requests>` before the measured work starts, so a
+/// run that crashes is charged with every request it would have attempted.
+void announce_plan(std::uint64_t requests);
+
 // --- run options ----------------------------------------------------------------
 
-/// Set-ups per run; setup_s is their median.
+/// Set-ups per run; setup_s is the fastest (a slower one waited for the host).
 inline constexpr int kSetups = 5;
 
 struct RunOpts {
@@ -276,7 +280,10 @@ struct Graph {
 
 // --- workloads -----------------------------------------------------------------
 
-int run_oltp(const RunOpts& o, const std::string& name, const work::OpMix& mix);
+/// `write_p99_gated`: the lat2_tail_us slot holds the write p99 (a mix with
+/// several write kinds) rather than the mean of the slowest 1% of writes.
+int run_oltp(const RunOpts& o, const std::string& name, const work::OpMix& mix,
+             bool write_p99_gated);
 int run_olap_traverse(const RunOpts& o);
 int run_wire_serve(const RunOpts& o);
 

@@ -1,6 +1,6 @@
 // gdibench: one workload of the end-to-end benchmark per process.
 //
-//   gdibench <oltp_linkbench|olap_traverse|wire_serve> --seed N --seconds S
+//   gdibench <oltp_linkbench|oltp_read_intensive|olap_traverse|wire_serve> --seed N --seconds S
 //            [--trace 0|1] [--tmp DIR]
 //
 // Prints human-readable metric lines and, last, one `GDIBENCH_RESULT {json}`
@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
     }
   }
   if (workload == "oltp_linkbench")
-    return gb::run_oltp(o, workload, gdi::work::OpMix::linkbench());
+    return gb::run_oltp(o, workload, gdi::work::OpMix::linkbench(), true);
   if (workload == "oltp_read_intensive")
-    return gb::run_oltp(o, workload, gdi::work::OpMix::read_intensive());
+    return gb::run_oltp(o, workload, gdi::work::OpMix::read_intensive(), false);
   if (workload == "olap_traverse") return gb::run_olap_traverse(o);
   if (workload == "wire_serve") return gb::run_wire_serve(o);
   std::cerr << "unknown workload " << workload << "\n";

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end benchmark driver for the GDI-RMA reproduction.
+"""End-to-end benchmark runner for the GDI-RMA reproduction.
 
 Usage (from the repository root):
 
@@ -12,8 +12,11 @@ Builds gdibench/ (with the library sources under src/) into .bench_build/
 metric of BENCHMARK.json; with --trace 1 the workload runs twice, untraced
 and traced, and the line carries every per-layer metric, including
 trace.overhead.<metric> = traced / untraced for each end-to-end metric.
-`--workload all` runs every workload and prints each one's metrics under its
-own name with unit and clock; it exits non-zero if any check failed.
+With one workload the exit code is 0 whenever that line is printed (a failed
+check or a crashed run reads "correct": false) and non-zero when the build
+fails. `--workload all` runs every workload and prints each one's metrics
+under its own name with unit and clock; it exits non-zero if any check
+failed or any run crashed.
 """
 import argparse
 import json
@@ -24,7 +27,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ["oltp_read_intensive", "olap_traverse", "wire_serve", "oltp_linkbench"]
+WORKLOADS = ["oltp_linkbench", "olap_traverse", "wire_serve", "oltp_read_intensive"]
 RUN_TIMEOUT_S = 170
 
 
@@ -55,7 +58,8 @@ def build():
 
 
 def run_once(exe, workload, seed, seconds, trace):
-    """One workload process. Returns (parsed result or None, exit code)."""
+    """One workload process. Returns (parsed result or None, exit code,
+    requests it planned to attempt)."""
     tmp = os.path.join(HERE, ".tmp")
     os.makedirs(tmp, exist_ok=True)
     cmd = [exe, workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -65,29 +69,34 @@ def run_once(exe, workload, seed, seconds, trace):
                            text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         log(f"{workload}: timed out after {RUN_TIMEOUT_S} s")
-        return None, -1
-    result = None
+        return None, -1, 1
+    result, planned = None, 1
     for line in p.stdout.splitlines():
         if line.startswith("GDIBENCH_RESULT "):
             result = json.loads(line[len("GDIBENCH_RESULT "):])
+        elif line.startswith("GDIBENCH_PLAN "):
+            planned = int(line.split()[1])
         else:
             print(line, flush=True)
     if p.returncode < 0:
         log(f"{workload}: killed by signal {-p.returncode}")
-    return result, p.returncode
+    return result, p.returncode, planned
 
 
 def measure(exe, workload, seed, seconds, trace, spec):
-    """The driver's JSON object for one workload (and whether it is whole)."""
+    """Run one workload (untraced, then traced if asked). Returns the
+    result object, whether every run was whole and correct, and the
+    untraced run's parsed result (None if it crashed)."""
     runs = [run_once(exe, workload, seed, seconds, False)]
     if trace:
         runs.append(run_once(exe, workload, seed, seconds, True))
-    results = [r for r, _ in runs]
+    results = [r for r, _, _ in runs]
     if any(r is None for r in results):
-        # A crashed run counts every request as failed; it is never retried.
-        attempted = max([1] + [r["attempted"] for r in results if r is not None])
+        # A crashed run counts every request it planned as failed; it is
+        # never retried, re-seeded or shortened.
+        attempted = sum(n if r is None else r["attempted"] for r, _, n in runs)
         return {"correct": False, "attempted": attempted, "failed": attempted,
-                "metrics": {}}, False
+                "metrics": {}}, False, results[0]
     base, last = results[0], results[-1]
     metrics = {}
     if not trace:
@@ -103,34 +112,31 @@ def measure(exe, workload, seed, seconds, trace, spec):
             # A layer this workload does not exercise reads 0.
             v = layer.get(m["name"], {}).get("value", 0.0)
             metrics[m["name"]] = {"value": v if v is not None else 0.0, "unit": m["unit"]}
-    ok = all(r["correct"] for r in results) and all(c == 0 for _, c in runs)
+    ok = all(r["correct"] for r in results) and all(c == 0 for _, c, _ in runs)
     return {"correct": ok,
             "attempted": sum(r["attempted"] for r in results),
             "failed": sum(r["failed"] for r in results),
-            "metrics": metrics}, ok
+            "metrics": metrics}, ok, base
 
 
-def run_all(exe, seed, seconds, trace):
+def run_all(exe, seed, seconds, trace, spec):
     """Every workload in its own process; each metric by its own name."""
-    ok = True
+    all_ok = True
     rows = []
     for w in WORKLOADS:
-        runs = [run_once(exe, w, seed, seconds, False)]
-        if trace:
-            runs.append(run_once(exe, w, seed, seconds, True))
-        for r, code in runs:
-            if r is None or code != 0 or not r["correct"]:
-                ok = False
-        r = runs[0][0]
-        if r is not None:
-            for e in r["e2e"].values():
-                v = "null" if e["shown"] is None else f"{e['shown']:.6g}"
-                rows.append((w, e["name"], v, e["shown_unit"], e["clock"], e["samples"]))
+        _, ok, base = measure(exe, w, seed, seconds, trace, spec)
+        all_ok = all_ok and ok
+        if base is None:
+            rows.append((w, "(crashed)", "-", "-", "-", 0))
+            continue
+        for e in base["e2e"].values():
+            v = "null" if e["shown"] is None else f"{e['shown']:.6g}"
+            rows.append((w, e["name"], v, e["shown_unit"], e["clock"], e["samples"]))
     print("\n== summary (value, unit, clock, samples)")
     for w, name, v, unit, clock, n in rows:
         print(f"{w:20s} {name:38s} {v:>12s} {unit:6s} {clock:5s} n={n}")
-    print("all checks passed" if ok else "SOME CHECK OR RUN FAILED")
-    return 0 if ok else 1
+    print("all checks passed" if all_ok else "SOME CHECK OR RUN FAILED")
+    return 0 if all_ok else 1
 
 
 def main():
@@ -147,13 +153,14 @@ def main():
     if exe is None:
         log("build failed")
         return 2
-    if a.workload == "all":
-        return run_all(exe, a.seed, a.seconds, a.trace == 1)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    out, ok = measure(exe, a.workload, a.seed, a.seconds, a.trace == 1, spec)
+    if a.workload == "all":
+        return run_all(exe, a.seed, a.seconds, a.trace == 1, spec)
+    out, _, _ = measure(exe, a.workload, a.seed, a.seconds, a.trace == 1, spec)
+    # The verdict is the result's "correct"; a non-zero exit means no result.
     print(json.dumps(out), flush=True)
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":
