@@ -168,6 +168,12 @@ int Report::emit() const {
   return correct() ? 0 : 1;
 }
 
+void report_setups(Report& rep, const std::vector<double>& setups) {
+  rep.e2e("setup_s", "setup_s", median(setups), "s", "wall", setups.size());
+  rep.info("setup_s_fastest",
+           std::to_string(setups.empty() ? 0 : *std::min_element(setups.begin(), setups.end())));
+}
+
 void announce_plan(std::uint64_t requests) {
   std::cout << "GDIBENCH_PLAN " << requests << std::endl;
 }

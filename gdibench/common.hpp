@@ -216,13 +216,16 @@ class Report {
   std::uint64_t failed_ = 0;
 };
 
+/// setup_s: the median of a run's set-up times (the fastest is printed too).
+void report_setups(Report& rep, const std::vector<double>& setups);
+
 /// Print `GDIBENCH_PLAN <requests>` before the measured work starts, so a
 /// run that crashes is charged with every request it would have attempted.
 void announce_plan(std::uint64_t requests);
 
 // --- run options ----------------------------------------------------------------
 
-/// Set-ups per run; setup_s is the fastest (a slower one waited for the host).
+/// Set-ups per run; setup_s is their median.
 inline constexpr int kSetups = 5;
 
 struct RunOpts {
@@ -280,10 +283,14 @@ struct Graph {
 
 // --- workloads -----------------------------------------------------------------
 
-/// `write_p99_gated`: the lat2_tail_us slot holds the write p99 (a mix with
-/// several write kinds) rather than the mean of the slowest 1% of writes.
+/// The run's work is fixed: --seconds x `queries_per_rank_per_second`
+/// queries per rank. A fixed count keeps the modeled metrics independent of
+/// host speed: the mix grows the graph, so a time-bounded run on a faster
+/// host would measure a larger one. `write_p99_gated`: the lat2_tail_us slot
+/// holds the write p99 (a mix with several write kinds) rather than the mean
+/// of the slowest 1% of writes.
 int run_oltp(const RunOpts& o, const std::string& name, const work::OpMix& mix,
-             bool write_p99_gated);
+             double queries_per_rank_per_second, bool write_p99_gated);
 int run_olap_traverse(const RunOpts& o);
 int run_wire_serve(const RunOpts& o);
 

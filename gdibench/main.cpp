@@ -38,10 +38,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Queries per rank per --seconds, so that a run takes about --seconds on
+  // a 4-core host, set-ups included. LinkBench is the slower mix per query.
   if (workload == "oltp_linkbench")
-    return gb::run_oltp(o, workload, gdi::work::OpMix::linkbench(), true);
+    return gb::run_oltp(o, workload, gdi::work::OpMix::linkbench(), 30000, true);
   if (workload == "oltp_read_intensive")
-    return gb::run_oltp(o, workload, gdi::work::OpMix::read_intensive(), false);
+    return gb::run_oltp(o, workload, gdi::work::OpMix::read_intensive(), 90000, false);
   if (workload == "olap_traverse") return gb::run_olap_traverse(o);
   if (workload == "wire_serve") return gb::run_wire_serve(o);
   std::cerr << "unknown workload " << workload << "\n";

@@ -216,9 +216,7 @@ int run_olap_traverse(const RunOpts& o) {
   rep.info("edges_skipped", std::to_string(g0.edges_skipped));
   rep.info("max_degree", std::to_string(*std::max_element(g0.degree.begin(), g0.degree.end())));
 
-  rep.e2e("setup_s", "setup_s", *std::min_element(setups.begin(), setups.end()), "s", "wall",
-          setups.size());
-  rep.info("setup_s_median", std::to_string(median(setups)));
+  report_setups(rep, setups);
   rep.e2e("peak_rss_mb", "peak_rss_mb", rss, "MB", "-", 1);
   rep.e2e("bfs_mteps_model", "bfs_mteps_model", harmonic_mean(teps_model), "1/s", "model", nb,
           1e6, "MTEPS");

@@ -29,10 +29,6 @@ constexpr int kScale = 15;
 constexpr std::size_t kBlockSize = 2048;
 constexpr std::size_t kReadBatch = 32;    ///< point reads per BatchScope
 constexpr std::size_t kChunk = 1000;      ///< queries sampled per batch of the stream
-/// Fixed work per run: --seconds x this many queries per rank. A fixed count
-/// keeps the modeled metrics independent of host speed: the mix grows the
-/// graph, so a time-bounded run on a faster host would measure a larger one.
-constexpr double kQueriesPerRankPerSecond = 30000;
 /// The work is split over the kSetups set-ups: each freshly loaded graph
 /// serves one kSetups-th of the stream. The LinkBench deletes target the
 /// loaded ids, so one long stream on one graph would drift: at 800,000
@@ -383,12 +379,12 @@ std::uint64_t edge_records(const Graph& g, rma::Rank& self) {
 }  // namespace
 
 int run_oltp(const RunOpts& o, const std::string& name, const work::OpMix& mix,
-             bool write_p99_gated) {
+             double queries_per_rank_per_second, bool write_p99_gated) {
   Report rep(name);
   const std::uint64_t q_per_rank =
       kChunk * std::max<std::uint64_t>(
                    1, static_cast<std::uint64_t>(
-                          std::llround(o.seconds * kQueriesPerRankPerSecond / kChunk)));
+                          std::llround(o.seconds * queries_per_rank_per_second / kChunk)));
   std::vector<double> setups;
   std::vector<Tracer> tracers(kRanks, Tracer(o.trace));
   std::vector<RankRun> runs(kRanks);
@@ -566,9 +562,7 @@ int run_oltp(const RunOpts& o, const std::string& name, const work::OpMix& mix,
   rep.info("edges_skipped", std::to_string(g0.edges_skipped));
   rep.info("max_degree", std::to_string(*std::max_element(g0.degree.begin(), g0.degree.end())));
 
-  rep.e2e("setup_s", "setup_s", *std::min_element(setups.begin(), setups.end()), "s", "wall",
-          setups.size());
-  rep.info("setup_s_median", std::to_string(median(setups)));
+  report_setups(rep, setups);
   rep.e2e("peak_rss_mb", "peak_rss_mb", rss, "MB", "-", 1);
   rep.e2e("rate_model", "oltp_qps_model", q / (max_model_ns * 1e-9), "1/s", "model",
           all.queries);

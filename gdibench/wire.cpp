@@ -501,9 +501,7 @@ int run_wire_serve(const RunOpts& o) {
   rep.info("ref_windows", std::to_string(kRefWindows));
   rep.info("steps_passed", std::to_string(best));
   rep.info("keys", std::to_string(kKeys));
-  rep.e2e("setup_s", "setup_s", *std::min_element(setups.begin(), setups.end()), "s", "wall",
-          setups.size());
-  rep.info("setup_s_median", std::to_string(median(setups)));
+  report_setups(rep, setups);
   rep.e2e("peak_rss_mb", "peak_rss_mb", rss, "MB", "-", 1);
   rep.e2e("rate_model", "wire_ref_rate_model", median(model_rate), "1/s", "model", ref_n);
   rep.e2e("rate_wall", "wire_kqps_max", kqps_max, "1/s", "wall", best, 1e3, "kq/s");
